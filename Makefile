@@ -1,6 +1,6 @@
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep bench-vector smoke-batch smoke-mux smoke-parallel smoke-scenario smoke-stream smoke-sweep regress regress-record
+.PHONY: test lint lint-fast lint-baseline bench bench-lint bench-parallel bench-stream bench-sweep smoke-mux smoke-parallel smoke-scenario smoke-stream smoke-sweep regress regress-record
 
 test:
 	$(PY) -m pytest -x -q
@@ -80,20 +80,6 @@ bench-sweep:
 	$(PY) -m pytest benchmarks/test_bench_sweep.py \
 		--benchmark-only --benchmark-json=BENCH_sweep.json
 
-# Time the trial-major batched chain (repro.batch) against trial-at-a-
-# time naive scalar execution on the receiver grid, and record both
-# sides, the executor decision, and the whole-sweep + marginal
-# per-trial speedups to BENCH_vector.json.
-bench-vector:
-	$(PY) -m pytest benchmarks/test_bench_vector.py \
-		--benchmark-only --benchmark-json=BENCH_vector.json
-
-# Quick end-to-end sanity check of the batched path: the receiver grid
-# forced through the trial-major runner in one process (the adaptive
-# executor's batched-serial lane; records are bit-identical to scalar).
-smoke-batch:
-	$(PY) -m repro sweep receiver-grid --jobs 1 --batch on
-
 # Quick end-to-end sanity check of the fleet multiplexer: a tiny
 # 32-stream mixed fleet (covert + keylog + clockmod) through the
 # batched cross-stream DSP tick, finalised decodes checked against the
@@ -108,16 +94,18 @@ smoke-parallel:
 	$(PY) -m repro run table2 --jobs 2
 
 # Quick end-to-end sanity check of the sweep engine: the eight-config
-# receiver grid planned along the chain-cache key DAG and executed
-# across two workers (shared capture travels by cache key).
+# receiver grid planned along the chain-cache key DAG, run in-process
+# (--jobs 1) and through the worker pool (--jobs 2; the shared capture
+# travels by cache key).
 smoke-sweep:
+	$(PY) -m repro sweep receiver-grid --jobs 1
 	$(PY) -m repro sweep receiver-grid --jobs 2
 
 # Quick end-to-end sanity check of the scenario plugin framework: the
 # two related-attack plugins re-run against their committed metric
 # baselines, then the conformance suite over every registered scenario
-# (determinism, order invariance, batch equivalence, chain-key
-# coherence, RNG isolation - see DESIGN.md section 15).
+# (determinism, order invariance, chain-key coherence, RNG isolation -
+# see DESIGN.md section 15).
 smoke-scenario:
 	$(PY) -m repro regress --scenario scenario-ichannels-tiny \
 		--scenario scenario-clockmod-tiny

@@ -2,14 +2,11 @@
 
 Two claims are benchmarked:
 
-* the adaptive executor never regresses the Table II harness — a
-  ``--jobs 4`` request is routed through
-  :func:`~repro.exec.executor.choose_executor` first, and the harness
-  runs at whatever worker count the decision says.  On a single-CPU
-  host the decision is ``batched-serial`` (jobs=1), which is asserted:
-  an earlier recording of this file blindly honoured ``jobs=4`` and
-  timed the process pool 24% *slower* than serial (10.3 s vs 8.3 s) on
-  1 CPU - exactly the mistake the decision table exists to prevent.
+* the trial pool never regresses the Table II harness — the harness
+  runs at ``jobs = min(4, cpus)``, and on a single-CPU host
+  :func:`~repro.exec.pool.parallel_map`'s guard runs the tasks
+  serially: an earlier recording of this file forked four workers on
+  1 CPU and timed the pool 24% *slower* than serial (10.3 s vs 8.3 s).
   Rows are compared against a serial reference run either way; real
   pool speedups are only asserted when the host has spare cores.
 * the content-addressed chain cache makes receiver-only sweeps cheap —
@@ -31,18 +28,13 @@ from repro.core.acquisition import AcquisitionConfig
 from repro.core.decoder import DecoderConfig
 from repro.covert.link import CovertLink
 from repro.exec import execution_scope, get_chain_cache, reset_chain_cache
-from repro.exec.executor import choose_executor, effective_cpus
+from repro.exec.pool import effective_cpus
 from repro.experiments import get_experiment
 from repro.params import TINY
 from repro.systems.laptops import DELL_INSPIRON
 
-#: Trials each ``evaluate_link`` call fans out (its ``n_runs`` default)
-#: - the task shape the executor decision is made from.
-TRIALS_PER_LINK = 5
-
-
 def test_bench_parallel_table2(benchmark):
-    """Table II, jobs=4 requested, executor-resolved: identical rows."""
+    """Table II through the trial pool: identical rows, never slower."""
     run = get_experiment("table2")
 
     with execution_scope(jobs=1, cache_enabled=False):
@@ -50,35 +42,29 @@ def test_bench_parallel_table2(benchmark):
         serial = run(quick=True, seed=0)
         serial_s = time.perf_counter() - t0
 
-    decision = choose_executor(
-        TRIALS_PER_LINK, jobs=4, batchable=True
-    )
     cpus = effective_cpus()
-    if cpus <= 1:
-        # the whole point on a 1-CPU host: the pool is never forked
-        assert decision.mode == "batched-serial"
-        assert decision.jobs == 1
+    jobs = min(4, cpus)
 
-    def adaptive():
-        with execution_scope(jobs=decision.jobs, cache_enabled=False):
+    def pooled():
+        with execution_scope(jobs=jobs, cache_enabled=False):
             return run(quick=True, seed=0)
 
-    resolved = benchmark.pedantic(adaptive, rounds=1, iterations=1)
-    adaptive_s = benchmark.stats.stats.mean
+    resolved = benchmark.pedantic(pooled, rounds=1, iterations=1)
+    pooled_s = benchmark.stats.stats.mean
 
     assert resolved.rows == serial.rows  # bit-identical at any jobs
     benchmark.extra_info["serial_s"] = round(serial_s, 3)
-    benchmark.extra_info["adaptive_s"] = round(adaptive_s, 3)
+    benchmark.extra_info["pooled_s"] = round(pooled_s, 3)
     benchmark.extra_info["cpus"] = cpus
-    benchmark.extra_info["decision"] = decision.as_dict()
+    benchmark.extra_info["jobs"] = jobs
     if cpus <= 1:
         # same code path as serial: equal up to timer noise, never the
         # 1.24x pool regression the old recording showed
-        assert adaptive_s < 1.15 * serial_s
+        assert pooled_s < 1.15 * serial_s
     elif cpus >= 4:
-        assert adaptive_s < 0.75 * serial_s
+        assert pooled_s < 0.75 * serial_s
     else:
-        assert adaptive_s < serial_s
+        assert pooled_s < serial_s
 
 
 def _receiver_sweep():

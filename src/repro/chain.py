@@ -612,6 +612,27 @@ def _cached_bursts(
     return _compute_through_lock(cache, k_burst, "vrm", rng, compute_bursts)
 
 
+def replay_capture_hit(
+    key: str,
+    capture: IQCapture,
+    state_after: dict,
+    activity: ActivityTrace,
+    rng: np.random.Generator,
+) -> None:
+    """Everything a capture cache hit does besides returning the value.
+
+    Restores the RNG exit state and emits the ``sdr`` hit event; as the
+    skipped chain would have tapped the activity and capture metrics,
+    those endpoints are tapped here.  A sweep's capture group calls this
+    directly for members that share a capture it already holds, which
+    keeps their events, metrics and RNG digests those of a solo run.
+    """
+    rng.bit_generator.state = state_after
+    _stage_hit("sdr", key, rng)
+    tap_activity(activity)
+    tap_capture(capture, adc_bits=8)
+
+
 def render_capture(
     machine: Machine,
     activity: ActivityTrace,
@@ -646,12 +667,7 @@ def render_capture(
         hit = cache.get(k_capture)
         if hit is not None:
             capture, state_after = hit
-            rng.bit_generator.state = state_after
-            _stage_hit("sdr", k_capture, rng)
-            # render_emission is skipped entirely on a capture hit, so
-            # tap the endpoints that are still materialised here.
-            tap_activity(activity)
-            tap_capture(capture, adc_bits=8)
+            replay_capture_hit(k_capture, capture, state_after, activity, rng)
             return capture
 
     def compute_capture() -> IQCapture:

@@ -203,15 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the content-addressed chain cache",
     )
     sweep_p.add_argument(
-        "--batch",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="trial-major batched execution: 'auto' (default) lets the "
-        "adaptive executor engage it when one process should do all "
-        "the work, 'on'/'off' force it; records are bit-identical "
-        "either way",
-    )
-    sweep_p.add_argument(
         "--trace",
         default=None,
         metavar="FILE",
@@ -237,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full",
         action="store_true",
         help="paper-weight sizing (slower); default is quick mode",
-    )
-    scenario_p.add_argument(
-        "--batch",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="batched execution policy for sweep-backed scenarios",
     )
     scenario_p.add_argument(
         "--jobs",
@@ -570,7 +555,6 @@ def _cmd_sweep(args) -> int:
             results_path=args.results,
             resume=not args.fresh,
             naive=args.naive,
-            batch=args.batch,
         )
         width = max(
             [len(r["label"] or r["trial_id"][:12]) for r in outcome.records]
@@ -585,12 +569,7 @@ def _cmd_sweep(args) -> int:
                 f"{name:<{width}}  {r['ber']:>8.4f}  {r['ip']:>8.4f}  "
                 f"{r['dp']:>8.4f}  {r['tr_bps']:>8.0f}"
             )
-        if outcome.naive:
-            mode = "naive"
-        elif outcome.stats.get("batch"):
-            mode = "engine+batch"
-        else:
-            mode = "engine"
+        mode = "naive" if outcome.naive else "engine"
         print(
             f"{mode}: {outcome.executed} executed, {outcome.resumed} "
             f"resumed in {outcome.elapsed_s:.2f}s; plan shared "
@@ -642,7 +621,6 @@ def _cmd_scenario(args) -> int:
             args.name,
             seed=args.seed,
             quick=not args.full,
-            batch=args.batch,
         )
     spec = info.spec
     print(f"scenario {spec.name!r}: {spec.title}")

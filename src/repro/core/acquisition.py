@@ -15,11 +15,21 @@ point of Eq. 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import reduce
+from math import gcd
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp.stft import Spectrogram, stft
+from ..dsp.band import band_energy
+from ..dsp.stft import (
+    Spectrogram,
+    check_frames,
+    frame_times,
+    spectrogram_axes,
+)
+from ..dsp.windows import get_window
 from ..types import IQCapture
 
 
@@ -117,15 +127,57 @@ def acquire(
     config: AcquisitionConfig = AcquisitionConfig(),
 ) -> Envelope:
     """Compute the Eq. 1 envelope from an IQ capture."""
-    if vrm_frequency_hz <= 0:
-        raise ValueError("VRM frequency must be positive")
-    spec = stft(
-        capture.samples,
-        capture.sample_rate,
-        fft_size=config.fft_size,
-        hop=config.hop,
-        window=config.window,
-    )
-    bins = harmonic_bins(spec, capture, vrm_frequency_hz, config)
-    y = spec.band_energy(bins)
-    return Envelope(samples=y, frame_rate=spec.frame_rate, times=spec.times)
+    return acquire_many(capture, [(vrm_frequency_hz, config)])[0]
+
+
+def acquire_many(
+    capture: IQCapture,
+    receivers: Sequence[Tuple[float, AcquisitionConfig]],
+) -> List[Envelope]:
+    """Eq. 1 envelopes for several receivers of one capture.
+
+    ``receivers`` are ``(vrm_frequency_hz, config)`` pairs.  Receivers
+    sharing an FFT size and window share one
+    :func:`~repro.dsp.band.band_energy` call over the union of their
+    frame positions, so each distinct frame is transformed once; every
+    envelope is bit-identical to a lone :func:`acquire`.
+
+    Raises ``ValueError`` for a capture holding NaN or inf samples (the
+    envelope would be silently non-finite) or too short for one frame.
+    """
+    samples = np.asarray(capture.samples)
+    if not np.isfinite(samples).all():
+        raise ValueError("capture holds non-finite (NaN or inf) samples")
+    complex_input = np.iscomplexobj(samples)
+    groups: Dict[Tuple[int, str], List[int]] = {}
+    for i, (vrm_frequency_hz, config) in enumerate(receivers):
+        if vrm_frequency_hz <= 0:
+            raise ValueError("VRM frequency must be positive")
+        groups.setdefault((config.fft_size, config.window), []).append(i)
+    envelopes: Dict[int, Envelope] = {}
+    for (fft_size, window), members in groups.items():
+        # Frame every member on the coarsest grid containing all their
+        # frame starts; a lone receiver's rows are then contiguous.
+        step = reduce(gcd, (receivers[i][1].hop for i in members))
+        requests = []
+        for i in members:
+            vrm_frequency_hz, config = receivers[i]
+            axes = spectrogram_axes(
+                fft_size, config.hop, capture.sample_rate, complex_input
+            )
+            n_frames = check_frames(samples.size, fft_size, config.hop)
+            rows = np.arange(n_frames) * (config.hop // step)
+            bins = harmonic_bins(axes, capture, vrm_frequency_hz, config)
+            requests.append((rows, bins))
+        frames = sliding_window_view(samples, fft_size)[::step]
+        ys = band_energy(
+            [frames], get_window(window, fft_size), requests, complex_input
+        )
+        for i, y in zip(members, ys):
+            hop = receivers[i][1].hop
+            envelopes[i] = Envelope(
+                samples=y,
+                frame_rate=capture.sample_rate / hop,
+                times=frame_times(0, y.size, fft_size, hop, capture.sample_rate),
+            )
+    return [envelopes[i] for i in range(len(receivers))]

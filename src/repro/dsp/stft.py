@@ -1,16 +1,18 @@
 """Short-time Fourier transform utilities.
 
-The receiver's acquisition step (paper Eq. 1) is a sliding FFT over the
-IQ stream; the keylogging detector (Section V-C) uses non-overlapping
-5 ms windows.  Both are served by :func:`stft`, which frames with an
-arbitrary hop.  Frames are materialised with stride tricks, so hop << M
-is memory-cheap until the FFT output itself.
+:func:`stft` computes full magnitude spectrograms (the Figure 2
+render); frames are materialised with stride tricks, so hop << M is
+memory-cheap until the FFT output itself.  Receivers that only need the
+band energy of a few bins (paper Eq. 1, the keylogging detector) pick
+their bins from :func:`spectrogram_axes` and go through
+:func:`repro.dsp.band.band_energy` instead.
 
 Framing is defined once, by :func:`frame_count` / :func:`frame_times`:
 frame ``i`` covers samples ``[i * hop, i * hop + fft_size)`` and a
 trailing partial window (fewer than ``fft_size`` samples past the last
-complete frame) is dropped.  The batch path here and the chunked path in
-:mod:`repro.stream.demod` both build on these helpers, so a capture
+complete frame) is dropped.  The batch path here, the band-energy kernel
+in :mod:`repro.dsp.band` and the chunked path in
+:mod:`repro.stream.demod` all build on these helpers, so a capture
 split at any chunk boundary frames identically to the monolithic call -
 including the awkward tail lengths the regression tests pin.
 """
@@ -103,6 +105,59 @@ def frame_times(
     return (indices * hop + fft_size / 2) / sample_rate
 
 
+def frequency_axis(
+    fft_size: int, sample_rate: float, complex_input: bool = True
+) -> np.ndarray:
+    """Bin frequencies: two-sided and fftshifted for complex input,
+    one-sided for real input."""
+    if complex_input:
+        return np.fft.fftshift(np.fft.fftfreq(fft_size, d=1.0 / sample_rate))
+    return np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+
+
+def spectrogram_axes(
+    fft_size: int, hop: int, sample_rate: float, complex_input: bool = True
+) -> Spectrogram:
+    """A frame-less spectrogram carrying only the axes.
+
+    Bin selection (``nearest_bin`` / ``band_indices``) needs the
+    frequency axis but never the magnitudes, so band-energy callers
+    choose their bins from this stub and hand them to
+    :func:`repro.dsp.band.band_energy` without materialising a spectrum.
+    """
+    frequencies = frequency_axis(fft_size, sample_rate, complex_input)
+    return Spectrogram(
+        magnitudes=np.empty((0, frequencies.size)),
+        times=np.empty(0),
+        frequencies=frequencies,
+        hop=hop,
+        fft_size=fft_size,
+        sample_rate=sample_rate,
+    )
+
+
+def frame_magnitudes(
+    frames: np.ndarray, window: np.ndarray, complex_input: bool
+) -> np.ndarray:
+    """``|FFT(frame * window)|`` per row, fftshifted for complex input."""
+    if complex_input:
+        spectra = np.fft.fft(frames * window, axis=1)
+        spectra = np.fft.fftshift(spectra, axes=1)
+    else:
+        spectra = np.fft.rfft(frames * window, axis=1)
+    return np.abs(spectra)
+
+
+def check_frames(n_samples: int, fft_size: int, hop: int) -> int:
+    """:func:`frame_count`, raising when not even one frame fits."""
+    n_frames = frame_count(n_samples, fft_size, hop)
+    if n_frames == 0:
+        raise ValueError(
+            f"need at least fft_size={fft_size} samples, got {n_samples}"
+        )
+    return n_frames
+
+
 def stft(
     samples: np.ndarray,
     sample_rate: float,
@@ -114,30 +169,16 @@ def stft(
 
     Complex input produces a two-sided (fftshifted) frequency axis, which
     is what the SDR IQ path needs; real input produces a one-sided axis.
+    Callers that only need the band energy of a few bins use
+    :func:`repro.dsp.band.band_energy` instead.
     """
     samples = np.asarray(samples)
-    n_frames = frame_count(samples.size, fft_size, hop)
-    if n_frames == 0:
-        raise ValueError(
-            f"need at least fft_size={fft_size} samples, got {samples.size}"
-        )
-    win = get_window(window, fft_size)
+    n_frames = check_frames(samples.size, fft_size, hop)
     frames = sliding_window_view(samples, fft_size)[::hop][:n_frames]
     complex_input = np.iscomplexobj(samples)
-    if complex_input:
-        spectra = np.fft.fft(frames * win, axis=1)
-        spectra = np.fft.fftshift(spectra, axes=1)
-        freqs = np.fft.fftshift(np.fft.fftfreq(fft_size, d=1.0 / sample_rate))
-    else:
-        spectra = np.fft.rfft(frames * win, axis=1)
-        freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
-    mags = np.abs(spectra)
-    times = frame_times(0, n_frames, fft_size, hop, sample_rate)
-    return Spectrogram(
-        magnitudes=mags,
-        times=times,
-        frequencies=freqs,
-        hop=hop,
-        fft_size=fft_size,
-        sample_rate=sample_rate,
+    spec = spectrogram_axes(fft_size, hop, sample_rate, complex_input)
+    spec.magnitudes = frame_magnitudes(
+        frames, get_window(window, fft_size), complex_input
     )
+    spec.times = frame_times(0, n_frames, fft_size, hop, sample_rate)
+    return spec

@@ -8,16 +8,12 @@ seed-controlled trials over the analog chain:
 * :mod:`repro.exec.pool` - :func:`parallel_map`, the single fan-out
   primitive.  Process-based at ``jobs > 1`` with a deterministic serial
   fallback at ``jobs = 1``; output order always matches input order.
+  It also makes the serial-vs-pool call: on one effective CPU
+  (:func:`effective_cpus`) or for pickle-heavy tasks it runs serially.
 * :mod:`repro.exec.cache` - a content-addressed cache for expensive
   chain intermediates (power-state trace, burst train, emission
   waveform), keyed by a stable hash of everything that determines them,
   including the RNG state on entry.
-* :mod:`repro.exec.executor` - the adaptive :class:`BatchExecutor`:
-  :func:`choose_executor` picks batched-serial / threads / processes
-  from the job shape (task count, array bytes, CPU budget) so callers
-  state *what* to fan out, not *how*.
-* :mod:`repro.exec.shm` - shared-memory transport for large arrays
-  (captures travel to workers as segment tokens, not pickled values).
 * :mod:`repro.exec.timing` - per-stage wall-clock accounting that
   survives the process boundary, so experiment reports can say where
   their time went even when trials ran in workers.
@@ -30,32 +26,18 @@ from .context import (
     get_execution_config,
     set_execution_config,
 )
-from .executor import (
-    BatchExecutor,
-    ExecutorDecision,
-    choose_executor,
-    effective_cpus,
-)
-from .pool import parallel_map
-from .shm import ShmArena, ShmCapture, ShmToken, load_array
+from .pool import effective_cpus, parallel_map
 from .timing import collect_timings, merge_timings, record_stage, stage
 
 __all__ = [
-    "BatchExecutor",
     "ChainCache",
     "ExecutionConfig",
-    "ExecutorDecision",
-    "ShmArena",
-    "ShmCapture",
-    "ShmToken",
-    "choose_executor",
     "collect_timings",
     "effective_cpus",
     "execution_scope",
     "fingerprint",
     "get_chain_cache",
     "get_execution_config",
-    "load_array",
     "merge_timings",
     "parallel_map",
     "record_stage",

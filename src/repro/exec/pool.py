@@ -30,7 +30,6 @@ from .context import (
     get_execution_config,
     set_execution_config,
 )
-from .executor import effective_cpus
 from .timing import collect_timings, merge_timings
 
 T = TypeVar("T")
@@ -39,7 +38,8 @@ R = TypeVar("R")
 #: Per-task pickle payloads above this are assumed to dwarf the compute
 #: they carry; ``parallel_map`` degrades to serial rather than shuttle
 #: them through the pipe.  Callers with genuinely heavy tasks should
-#: move arrays through :mod:`repro.exec.shm` and pass small tokens.
+#: pass cache keys, not arrays (the sweep engine's shared captures travel
+#: through the chain cache's disk layer).
 _PICKLE_BYTES_CEILING = 1 << 25  # 32 MiB
 
 #: ExecutionConfig instances (by identity) that already produced the
@@ -61,6 +61,18 @@ def _first_fallback_for(config: ExecutionConfig) -> bool:
         return False
     _serial_fallback_warned[key] = config
     return True
+
+
+def effective_cpus() -> int:
+    """CPUs actually available to this process (affinity-aware).
+
+    Overridable in tests (monkeypatch this name) so the fork paths stay
+    exercised on single-CPU CI hosts.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -208,7 +220,4 @@ def parallel_map(
 
 def default_jobs() -> int:
     """A sensible ``--jobs`` value for this host (all visible CPUs)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+    return effective_cpus()

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ..dsp.band import band_energy
 from ..dsp.detection import bimodal_threshold
-from ..dsp.stft import stft
+from ..dsp.stft import check_frames, frame_times, spectrogram_axes
+from ..dsp.windows import get_window
 from ..types import IQCapture, Keystroke
 
 
@@ -99,22 +102,28 @@ class KeystrokeDetector:
         samples = capture.samples / max(
             float(np.sqrt(np.mean(np.abs(capture.samples) ** 2))), 1e-12
         )
-        spec = stft(
-            samples,
-            capture.sample_rate,
-            fft_size=window,
-            hop=window,  # non-overlapping windows
-            window="rect",
+        # Non-overlapping rectangular windows.
+        n_windows = check_frames(samples.size, window, window)
+        complex_input = np.iscomplexobj(samples)
+        spec = spectrogram_axes(
+            window, window, capture.sample_rate, complex_input
         )
         bins = self._pmu_bins(spec, capture)
-        energy = spec.band_energy(bins)
+        frames = sliding_window_view(samples, window)[::window][:n_windows]
+        (energy,) = band_energy(
+            [frames],
+            get_window("rect", window),
+            [(np.arange(n_windows), bins)],
+            complex_input,
+        )
+        times = frame_times(0, n_windows, window, window, capture.sample_rate)
         threshold = bimodal_threshold(energy)
         active = energy > threshold
-        events = self._group_events(active, spec.times, cfg)
+        events = self._group_events(active, times, cfg)
         return KeylogDetection(
             events=events,
             band_energy=energy,
-            window_times=spec.times,
+            window_times=times,
             threshold=threshold,
         )
 

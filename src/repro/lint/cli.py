@@ -117,7 +117,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="parallel-parse worker budget for cold files "
-        "(the executor may still choose serial)",
+        "(still serial on a single CPU)",
     )
 
 

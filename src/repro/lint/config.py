@@ -40,7 +40,7 @@ class LintConfig:
     #: Scope of the cross-module key-coverage check: every *public*
     #: stage runner in these files/directories (entries ending with
     #: "/" are prefixes) must prove its parameters reach fingerprint().
-    chain_scope: Tuple[str, ...] = ("repro/chain.py", "repro/batch/")
+    chain_scope: Tuple[str, ...] = ("repro/chain.py",)
     #: Parameter names that are plumbing, not physics inputs.
     plumbing_params: Tuple[str, ...] = (
         "self",

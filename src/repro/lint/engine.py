@@ -117,8 +117,8 @@ def parse_sources(
 
     With a cache, unchanged files reuse their pickled ASTs (only the
     cheap line/suppression scan reruns).  Cold files are parsed through
-    :func:`repro.exec.choose_executor` - serial on a single CPU, a
-    process pool when the host and file count justify the fork cost.
+    :func:`repro.exec.pool.parallel_map` - serial on a single CPU or at
+    ``jobs=1``, a process pool otherwise.
     """
     project = Project(root=Path(root))
     errors: List[str] = []
@@ -137,19 +137,12 @@ def parse_sources(
         else:
             pending.append((relpath, source))
     if pending:
-        from ..exec.executor import choose_executor
+        from ..exec.pool import parallel_map
 
         avg_bytes = sum(len(s) for _, s in pending) // len(pending)
-        decision = choose_executor(
-            len(pending), jobs=jobs, bytes_per_task=avg_bytes
+        outcomes = parallel_map(
+            _parse_task, pending, jobs=jobs, bytes_hint=avg_bytes
         )
-        if decision.mode == "processes" and decision.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=decision.jobs) as pool:
-                outcomes = list(pool.map(_parse_task, pending))
-        else:
-            outcomes = [_parse_task(item) for item in pending]
         for status, value in outcomes:
             if status == "ok":
                 project.files[value.relpath] = value

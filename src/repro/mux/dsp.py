@@ -1,33 +1,27 @@
 """Cross-stream batched DSP: one kernel call per config group per tick.
 
-A fleet of 1k receivers running :meth:`StreamingSTFT.push` individually
-pays the per-call numpy dispatch price (window multiply, FFT plan
-lookup, fftshift, abs, bin gather - each a separate small-array call)
-a thousand times per tick.  The multiplexer instead exploits the same
-row-independence that :mod:`repro.batch` already leans on: numpy's
-pocketfft transforms each row of a 2D FFT with the same 1D plan,
-independently, so stacking staged frames from *many* streams into one
-``fft(stack * win, axis=1)`` produces, row for row, bit-for-bit the
-outputs the per-stream pushes would.
-
-The contract, per group per tick:
+A fleet of 1k receivers pushing their chunks individually pays the
+per-call numpy dispatch price (window multiply, FFT plan lookup, bin
+gather - each a separate small-array call) a thousand times per tick.
+The multiplexer instead stacks every stream's new frames into one
+:func:`repro.dsp.band.band_energy` call per group per tick:
 
 1. every stream **stages** its pending samples
    (:meth:`StreamingSTFT.stage` - raw frame views, no window/FFT);
-2. the staged rows are stacked and pushed through one windowed FFT,
-   row-chunked at :data:`CHUNK_BYTES` so a 10k-stream tick never
-   materialises a multi-GB spectra array (row chunking cannot change
-   any output row - rows are independent);
-3. each stream gets its slice of the Eq. 1 envelope
-   (``mags[:, bins].sum(axis=1)`` - the exact per-stream reduction),
-   **completes** its staged frames, and feeds the envelope to its
-   receiver via ``push_envelope``.
+2. the kernel windows and transforms the staged rows of all streams in
+   cache-sized row blocks and serves each stream's Eq. 1 envelope from
+   its own rows and bins;
+3. each stream **completes** its staged frames and feeds the envelope
+   to its receiver via ``push_envelope``.
 
-Streams may only share a kernel call when every parameter that shapes
-a frame matches; :attr:`MuxStream.group_key` captures exactly that set
-(fft size, hop, window, complex/real input, sample rate).  Receivers
-with different *bins* still batch together - bin selection happens in
-the per-stream reduction, after the shared FFT.
+The kernel's result is independent of its block layout, so the envelope
+each receiver sees is the one its own
+:meth:`StreamingBandEnergy.push` would compute, bit for bit, in any
+chunking.  Streams may only share a kernel call when every parameter
+that shapes a frame matches; :attr:`MuxStream.group_key` captures
+exactly that set (fft size, hop, window, complex/real input, sample
+rate).  Receivers with different *bins* still batch together - bin
+selection is per request, after the shared FFT.
 """
 
 from __future__ import annotations
@@ -36,17 +30,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dsp.band import band_energy
 from ..obs.metrics import tap_mux_group
 from ..obs.trace import span
-
-#: Upper bound on one FFT block's complex spectra.  Sized so the
-#: scratch block, its spectra, and the window all stay resident in
-#: last-level cache across the multiply -> FFT -> |.|-gather pipeline:
-#: measured on the 1 kHz-stream capacity benchmark, 64 MiB blocks
-#: (DRAM round-trips between stages) run the whole kernel 2.2x slower
-#: than 4 MiB blocks, while blocks below ~1 MiB start paying per-block
-#: dispatch instead.  Still >=1 row at fft sizes up to 256k.
-CHUNK_BYTES = 4 * 1024 * 1024
 
 
 class MuxStream:
@@ -106,28 +92,16 @@ def group_streams(streams: Sequence[MuxStream]) -> Dict[tuple, List[MuxStream]]:
     return groups
 
 
-def _block_rows(fft_size: int) -> int:
-    """Rows per FFT block so spectra stay under :data:`CHUNK_BYTES`."""
-    return max(1, CHUNK_BYTES // (fft_size * np.dtype(np.complex128).itemsize))
-
-
 def tick_group(
     streams: Sequence[MuxStream], now_s: float
 ) -> List[Tuple[MuxStream, list]]:
     """Run one batched DSP tick over a compatible group.
 
-    Drains every stream's pending deliveries, stages them, runs the
-    stacked windowed FFT in row blocks, and hands each stream its
-    envelope slice through ``push_envelope``.  Returns
+    Drains every stream's pending deliveries, stages them, computes
+    all their envelopes in one band-energy kernel call, and hands each
+    stream its envelope through ``push_envelope``.  Returns
     ``(stream, events)`` pairs for streams that produced envelope
     frames or events this tick.
-
-    Bit-identity: every row in a block is windowed, transformed,
-    shifted, and |.|-reduced by the same elementwise / per-row
-    arithmetic a lone :meth:`StreamingSTFT.push` applies, and the
-    per-stream ``mags[:, bins].sum(axis=1)`` gather-reduce runs on
-    identical rows - so the envelope each receiver sees is the one the
-    per-stream path would have produced, bit for bit, in any chunking.
     """
     staged: List[Tuple[MuxStream, np.ndarray, int]] = []
     for ms in streams:
@@ -152,7 +126,16 @@ def tick_group(
             "hop": hop,
         },
     ):
-        envelopes = _batched_envelopes(staged, fft_size, complex_input)
+        requests, row = [], 0
+        for ms, frames, _ in staged:
+            requests.append((np.arange(row, row + frames.shape[0]), ms.bins))
+            row += frames.shape[0]
+        envelopes = band_energy(
+            [frames for _, frames, _ in staged],
+            streams[0].sstft.window_values,
+            requests,
+            complex_input,
+        )
         for (ms, frames, first), y in zip(staged, envelopes):
             n_new = frames.shape[0]
             times = ms.sstft.times(first, n_new)
@@ -162,83 +145,3 @@ def tick_group(
                 out.append((ms, events))
     tap_mux_group(len(staged), total_rows, total_rows * hop / sample_rate)
     return out
-
-
-def _batched_envelopes(
-    staged: Sequence[Tuple[MuxStream, np.ndarray, int]],
-    fft_size: int,
-    complex_input: bool,
-) -> List[np.ndarray]:
-    """Stacked windowed FFT -> per-stream Eq. 1 envelopes, row-blocked.
-
-    Blocks are built greedily across stream boundaries: a block may end
-    mid-stream and a stream may span several blocks.  Each output row
-    depends only on its own input row, so the block layout is
-    unobservable in the results.
-
-    Two per-stream steps are algebraically relocated without touching a
-    single output bit:
-
-    * the per-stream path computes ``abs(fftshift(spectra))[:, bins]``;
-      fftshift is a pure column permutation and abs is elementwise, so
-      we gather ``spectra[:, (bins - n//2) % n]`` directly and take
-      ``abs`` of just those columns - same complex values, same
-      magnitudes, no full-spectrum shift or magnitude array;
-    * the window multiply writes into one reused scratch block
-      (``np.multiply(rows, win, out=...)``) - same elementwise product,
-      no per-tick re-allocation.
-    """
-    win = staged[0][0].sstft.window_values
-    limit = _block_rows(fft_size)
-    total_rows = sum(frames.shape[0] for _, frames, _ in staged)
-    limit = min(limit, max(total_rows, 1))
-    scratch = np.empty(
-        (limit, fft_size),
-        dtype=np.complex128 if complex_input else np.float64,
-    )
-    remapped: List[np.ndarray] = []
-    for ms, _frames, _first in staged:
-        if complex_input:
-            remapped.append((ms.bins - fft_size // 2) % fft_size)
-        else:
-            remapped.append(ms.bins)
-    envelopes: List[List[np.ndarray]] = [[] for _ in staged]
-    block_parts: List[Tuple[int, int]] = []  # (staged idx, n rows)
-    block_rows = 0
-
-    def flush() -> None:
-        nonlocal block_rows
-        if not block_parts:
-            return
-        rows = scratch[:block_rows]
-        if complex_input:
-            spectra = np.fft.fft(rows, axis=1)
-        else:
-            spectra = np.fft.rfft(rows, axis=1)
-        off = 0
-        for idx, n in block_parts:
-            seg = spectra[off : off + n][:, remapped[idx]]
-            envelopes[idx].append(np.abs(seg).sum(axis=1))
-            off += n
-        block_parts.clear()
-        block_rows = 0
-
-    for idx, (ms, frames, _first) in enumerate(staged):
-        lo = 0
-        n = frames.shape[0]
-        while lo < n:
-            take = min(n - lo, limit - block_rows)
-            np.multiply(
-                frames[lo : lo + take],
-                win,
-                out=scratch[block_rows : block_rows + take],
-            )
-            block_parts.append((idx, take))
-            block_rows += take
-            lo += take
-            if block_rows >= limit:
-                flush()
-    flush()
-    return [
-        np.concatenate(parts) if parts else np.empty(0) for parts in envelopes
-    ]

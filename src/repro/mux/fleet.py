@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.trace import bits_digest
 from ..scenario.dependency import resolve_order
 from ..scenario.component import ScenarioContext
 from ..scenario.registry import build_components, get_scenario
@@ -300,12 +301,6 @@ def truncate_spec(spec: StreamSpec, duration_s: float) -> StreamSpec:
             center_frequency=capture.center_frequency,
         ),
     )
-
-
-def bits_digest(bits) -> str:
-    """Short sha256 of a bit vector (the repo's record-digest idiom)."""
-    data = np.asarray(bits, dtype=np.uint8).tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _receiver_digest(spec: StreamSpec, receiver) -> str:

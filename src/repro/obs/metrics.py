@@ -440,43 +440,3 @@ def tap_sweep(stats) -> None:
     )
     reg.gauge("sweep.dedup_ratio").set(float(stats.get("sharing_factor", 1.0)))
     reg.gauge("sweep.warm_groups").set(float(stats.get("warm_groups", 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Batch-path taps (repro.batch / repro.exec.executor)
-
-
-def tap_batch_kernel(
-    kernel: str, batch: int, bytes_moved: int, seconds: float
-) -> None:
-    """One trial-major kernel invocation: how much it fused and moved."""
-    reg = _registry.get()
-    if reg is None:
-        return
-    reg.counter("batch.kernels").inc()
-    reg.counter(f"batch.kernel.{kernel}.calls").inc()
-    reg.histogram(f"batch.kernel.{kernel}.size").observe(float(batch))
-    reg.counter(f"batch.kernel.{kernel}.bytes").inc(float(bytes_moved))
-    reg.histogram(f"batch.kernel.{kernel}.seconds").observe(seconds)
-
-
-def tap_batch_executor(decision) -> None:
-    """The adaptive executor's scheduling decision for one fan-out."""
-    reg = _registry.get()
-    if reg is None:
-        return
-    reg.counter(f"batch.executor.{decision.mode}").inc()
-    reg.gauge("batch.executor.jobs").set(float(decision.jobs))
-    reg.gauge("batch.executor.bytes_per_task").set(
-        float(decision.bytes_per_task)
-    )
-
-
-def tap_batch_run(trials: int, groups: int) -> None:
-    """One batched sweep pass: trials routed and unique chain groups."""
-    reg = _registry.get()
-    if reg is None:
-        return
-    reg.counter("batch.runs").inc()
-    reg.counter("batch.trials").inc(float(trials))
-    reg.counter("batch.groups").inc(float(groups))

@@ -34,12 +34,15 @@ per-process timeline.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+
+import numpy as np
 
 _tracer: ContextVar[Optional["Tracer"]] = ContextVar(
     "repro_tracer", default=None
@@ -55,10 +58,6 @@ KEY_PREFIX_LEN = 12
 #: span kind.
 REGISTERED_SPANS = frozenset(
     {
-        "batch.chain",
-        "batch.decode",
-        "batch.execute",
-        "batch.kernel",
         "dither",
         "emission",
         "mux.group",
@@ -232,3 +231,14 @@ def rng_digest(rng) -> str:
     from ..exec.cache import fingerprint
 
     return fingerprint(rng.bit_generator.state)[:KEY_PREFIX_LEN]
+
+
+def bits_digest(bits) -> str:
+    """Short sha256 of a bit vector stored as uint8.
+
+    The record digest of decoded and transmitted bits (sweep records,
+    scenario records, the multiplexer's golden digests), so two runs'
+    bit streams compare by one short string.
+    """
+    data = np.ascontiguousarray(bits, dtype=np.uint8)
+    return hashlib.sha256(data.tobytes()).hexdigest()[:16]

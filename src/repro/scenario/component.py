@@ -63,17 +63,10 @@ class ScenarioContext:
     resolver's picture of the graph is always the truth.
     """
 
-    def __init__(
-        self,
-        scenario: str,
-        seed: int,
-        quick: bool = True,
-        batch: str = "auto",
-    ):
+    def __init__(self, scenario: str, seed: int, quick: bool = True):
         self.scenario = scenario
         self.seed = int(seed)
         self.quick = bool(quick)
-        self.batch = batch
         self.streams = RandomnessStreams(seed)
         self.records: List[Dict[str, Any]] = []
         self.rows: List[Dict[str, Any]] = []

@@ -18,19 +18,13 @@ clock and decides per bit window.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ...core.acquisition import AcquisitionConfig, acquire
 from ...core.align import align_bits
 from ...dsp.detection import histogram_modes
+from ...obs.trace import bits_digest
 from ..component import Component, ScenarioContext
-
-
-def _bits_digest(bits: np.ndarray) -> str:
-    data = np.ascontiguousarray(np.asarray(bits), dtype=np.uint8)
-    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
 def _bit_windows(envelope, timing, guard_fraction: float):
@@ -56,8 +50,8 @@ def _tap_channel(ctx: ScenarioContext, label: str, tx_bits, decoded) -> None:
     ctx.add_record(
         {
             "label": label,
-            "digest": _bits_digest(decoded),
-            "tx_digest": _bits_digest(tx_bits),
+            "digest": bits_digest(decoded),
+            "tx_digest": bits_digest(tx_bits),
             "ber": float(metrics.ber),
             "bit_errors": int(metrics.bit_errors),
             "n_bits": int(np.asarray(decoded).size),

@@ -7,9 +7,8 @@ scenario is all it takes to put it under test.
 
 To bound runtime the checks share a small set of runs per scenario
 (:func:`execute_runs`): a *reference* run instrumented with tracing and
-metrics, a *repeat* run (same seed), a run over a *permuted* component
-list, and - for sweep-backed scenarios - a run with the batch kernels
-forced on.  All runs execute serially under a scenario-private chain
+metrics, a *repeat* run (same seed) and a run over a *permuted*
+component list.  All runs execute serially under a scenario-private chain
 cache, so the analog stages compute once and the later runs certify
 cache transparency for free.
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..exec.context import execution_scope
 from ..obs.metrics import flatten, metrics_scope
@@ -53,7 +52,6 @@ class ScenarioRuns:
     ref: ScenarioOutcome
     repeat: ScenarioOutcome
     permuted: ScenarioOutcome
-    batch_on: Optional[ScenarioOutcome]
     events: List[dict] = field(default_factory=list)
     registry_metrics: Dict[str, float] = field(default_factory=dict)
 
@@ -66,8 +64,8 @@ def execute_runs(name: str) -> ScenarioRuns:
     """Run one scenario the handful of ways the checks need.
 
     Everything runs serially under a temporary scenario-private chain
-    cache: the reference run warms it, the repeat / permuted / batch
-    runs certify that cached replays stay bit-identical.
+    cache: the reference run warms it, the repeat / permuted runs
+    certify that cached replays stay bit-identical.
     """
     info = get_scenario(name)
     seed = info.spec.default_seed
@@ -82,26 +80,20 @@ def execute_runs(name: str) -> ScenarioRuns:
             permuted = run_components(
                 name, list(reversed(components)), seed=seed, quick=True
             )
-            batch_on = None
-            if "sweep" in info.spec.tags:
-                batch_on = _run(name, seed, batch="on")
     return ScenarioRuns(
         name=name,
         seed=seed,
         ref=ref,
         repeat=repeat,
         permuted=permuted,
-        batch_on=batch_on,
         events=list(events),
         registry_metrics=registry_metrics,
     )
 
 
-def _run(name: str, seed: int, batch: str = "auto") -> ScenarioOutcome:
+def _run(name: str, seed: int) -> ScenarioOutcome:
     components = build_components(name, seed, quick=True)
-    return run_components(
-        name, components, seed=seed, quick=True, batch=batch
-    )
+    return run_components(name, components, seed=seed, quick=True)
 
 
 def _fail(name: str, message: str) -> None:
@@ -151,18 +143,6 @@ def check_order_invariance(runs: ScenarioRuns) -> None:
             runs.ref.comparable(), runs.permuted.comparable()
         )
         _fail(runs.name, f"component order leaked into the outcome: {diff}")
-
-
-def check_batch_equivalence(runs: ScenarioRuns) -> None:
-    """Sweep-backed scenarios decode bit-identically with the batched
-    trial kernels forced on (``--batch on`` vs the default auto)."""
-    if runs.batch_on is None:
-        return
-    if runs.ref.comparable() != runs.batch_on.comparable():
-        diff = _first_difference(
-            runs.ref.comparable(), runs.batch_on.comparable()
-        )
-        _fail(runs.name, f"batch=on diverged from batch=auto: {diff}")
 
 
 def check_records_contract(runs: ScenarioRuns) -> None:
@@ -320,7 +300,6 @@ CONFORMANCE_CHECKS: Dict[str, Callable[[ScenarioRuns], None]] = {
     "static_contract": check_static_contract,
     "determinism": check_determinism,
     "order_invariance": check_order_invariance,
-    "batch_equivalence": check_batch_equivalence,
     "records_contract": check_records_contract,
     "metrics_contract": check_metrics_contract,
     "trace_contract": check_trace_contract,

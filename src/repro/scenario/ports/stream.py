@@ -17,6 +17,7 @@ import numpy as np
 
 from ...chain import capture_chain_keys
 from ...core.align import align_bits
+from ...obs.trace import bits_digest
 from ...covert.link import CovertLink
 from ...params import TINY
 from ...systems.laptops import DELL_INSPIRON
@@ -151,8 +152,8 @@ class StreamReceiverRunner(Component):
         ctx.add_record(
             {
                 "label": "stream-covert",
-                "digest": _bits_digest(final.bits),
-                "tx_digest": _bits_digest(batch.tx_bits),
+                "digest": bits_digest(final.bits),
+                "tx_digest": bits_digest(batch.tx_bits),
                 "lossy_ber": lossy.ber,
                 "chunks_dropped": stats.chunks_dropped,
                 "chunks_shed": stats.chunks_shed,
@@ -177,13 +178,6 @@ class StreamNoCountermeasure(Component):
 
     def setup(self, ctx: ScenarioContext) -> None:
         ctx.publish(self, "stream.countermeasure", None)
-
-
-def _bits_digest(bits) -> str:
-    import hashlib
-
-    data = np.asarray(bits, dtype=np.uint8).tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def stream_components(link: CovertLink) -> List[Component]:

@@ -32,8 +32,7 @@ class ScenarioSpec:
     resolver cross-checks at build time, so the spec can never drift
     from the factory's actual components.  ``tags`` drive conditional
     conformance checks (``"chain"``: publishes chain keys along the
-    k_power -> k_capture DAG; ``"sweep"``: backed by the sweep engine,
-    so ``--batch on/off`` equivalence is exercised for real).
+    k_power -> k_capture DAG; ``"sweep"``: backed by the sweep engine).
     """
 
     name: str
@@ -123,16 +122,13 @@ def run_registered(
     *,
     seed: Optional[int] = None,
     quick: bool = True,
-    batch: str = "auto",
 ) -> ScenarioOutcome:
     """Build and execute a registered scenario."""
     info = get_scenario(name)
     if seed is None:
         seed = info.spec.default_seed
     components = build_components(name, seed, quick)
-    return run_components(
-        name, components, seed=seed, quick=quick, batch=batch
-    )
+    return run_components(name, components, seed=seed, quick=quick)
 
 
 def _load_builtins() -> None:

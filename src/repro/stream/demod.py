@@ -13,7 +13,8 @@ carry-over state:
   magnitudes, because each frame is the same float vector through the
   same FFT.
 * :class:`StreamingBandEnergy` reduces those frames to the Eq. 1
-  envelope ``Y[n]`` over a fixed bin set, reusing the batch bin
+  envelope ``Y[n]`` over a fixed bin set through the shared kernel
+  (:func:`repro.dsp.band.band_energy`), reusing the batch bin
   selection (:func:`repro.core.acquisition.harmonic_bins`) via a
   metadata stub so streaming and batch can never disagree about S.
 * :class:`StreamingConvolver` carries FIR state across chunk
@@ -29,7 +30,15 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dsp.stft import Spectrogram, frame_count, frame_times
+from ..dsp.band import band_energy
+from ..dsp.stft import (
+    Spectrogram,
+    frame_count,
+    frame_magnitudes,
+    frame_times,
+    frequency_axis,
+    spectrogram_axes,
+)
 from ..dsp.windows import get_window
 from .source import StreamMeta
 
@@ -60,12 +69,7 @@ class StreamingSTFT:
         self.window = window
         self.complex_input = bool(complex_input)
         self._win = get_window(window, fft_size)
-        if complex_input:
-            self.frequencies = np.fft.fftshift(
-                np.fft.fftfreq(fft_size, d=1.0 / sample_rate)
-            )
-        else:
-            self.frequencies = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+        self.frequencies = frequency_axis(fft_size, sample_rate, complex_input)
         dtype = np.complex128 if complex_input else np.float64
         # Preallocated growable window buffer: valid samples live at
         # ``_storage[_off : _off + _len]``.  Appends write in place,
@@ -101,9 +105,8 @@ class StreamingSTFT:
     def reserve(self, n_samples: int) -> None:
         """Grow the window buffer to hold ``n_samples`` without realloc.
 
-        The stream runner calls this with the source's chunk size (plus
-        the window tail) once the adaptive executor settles on
-        batched-serial chunk service, so per-chunk pushes reuse one
+        The stream runner calls this with twice the source's chunk size
+        (one chunk plus the window tail), so per-chunk pushes reuse one
         buffer instead of reallocating - same floats, fewer copies.
         """
         need = int(n_samples)
@@ -138,13 +141,8 @@ class StreamingSTFT:
         Lets streaming code reuse batch bin-selection helpers
         (``nearest_bin`` / ``band_indices``) before any frame exists.
         """
-        return Spectrogram(
-            magnitudes=np.empty((0, self.frequencies.size)),
-            times=np.empty(0),
-            frequencies=self.frequencies,
-            hop=self.hop,
-            fft_size=self.fft_size,
-            sample_rate=self.sample_rate,
+        return spectrogram_axes(
+            self.fft_size, self.hop, self.sample_rate, self.complex_input
         )
 
     @property
@@ -162,11 +160,9 @@ class StreamingSTFT:
         (:meth:`complete` only advances offsets, it never moves data).
 
         The split exists for the fleet multiplexer: many streams with
-        the same STFT configuration stage their frames, the caller
-        stacks the views row-wise and runs **one** windowed FFT over
-        the stack, then calls :meth:`complete` per stream.  NumPy's
-        pocketfft transforms each row of a 2D FFT independently, so the
-        stacked call is bit-for-bit the per-stream :meth:`push`.
+        the same STFT configuration stage their frames, the caller hands
+        all the views to one :func:`repro.dsp.band.band_energy` call,
+        then calls :meth:`complete` per stream.
         """
         samples = np.asarray(samples)
         if samples.size:
@@ -212,15 +208,9 @@ class StreamingSTFT:
         n_new = frames.shape[0]
         if n_new == 0:
             return np.empty((0, self.frequencies.size)), first
-        # Identical arithmetic to the batch stft(): window, FFT, shift,
-        # magnitude - on identical float rows, so the outputs match bit
-        # for bit regardless of how the stream was chunked.
-        if self.complex_input:
-            spectra = np.fft.fft(frames * self._win, axis=1)
-            spectra = np.fft.fftshift(spectra, axes=1)
-        else:
-            spectra = np.fft.rfft(frames * self._win, axis=1)
-        mags = np.abs(spectra)
+        # The batch stft()'s arithmetic on identical float rows, so the
+        # outputs match bit for bit however the stream was chunked.
+        mags = frame_magnitudes(frames, self._win, self.complex_input)
         self.complete(n_new)
         return mags, first
 
@@ -255,11 +245,19 @@ class StreamingBandEnergy:
 
     def push(self, samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Feed one chunk; returns ``(y_new, times_new)``."""
-        mags, first = self.sstft.push(samples)
-        if mags.shape[0] == 0:
+        sstft = self.sstft
+        frames, first = sstft.stage(samples)
+        n_new = frames.shape[0]
+        if n_new == 0:
             return np.empty(0), np.empty(0)
-        y = mags[:, self.bins].sum(axis=1)
-        return y, self.sstft.times(first, y.size)
+        (y,) = band_energy(
+            [frames],
+            sstft.window_values,
+            [(np.arange(n_new), self.bins)],
+            sstft.complex_input,
+        )
+        sstft.complete(n_new)
+        return y, sstft.times(first, n_new)
 
 
 def streaming_envelope(

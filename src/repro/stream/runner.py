@@ -43,7 +43,6 @@ from ..obs.metrics import (
     tap_stream_event,
     tap_stream_summary,
 )
-from ..exec.executor import choose_executor
 from ..obs.trace import span, trace_event
 from .ring import RingBuffer
 from .source import Chunk, ChunkSource
@@ -71,7 +70,6 @@ class StreamStats:
     stream_duration_s: float = 0.0
     finished_at_s: float = 0.0
     events_per_s: float = 0.0
-    executor: str = ""
 
     @property
     def lossless(self) -> bool:
@@ -170,24 +168,9 @@ class StreamRunner:
     # -- clock / buffer mechanics -------------------------------------------
 
     def _prepare_service(self) -> None:
-        """Pick the chunk-service strategy via the adaptive executor.
-
-        Chunk DSP is order-dependent (every streaming stage carries
-        state across chunk boundaries), so the only admissible mode is
-        batched-serial - but asking the executor records *why* in the
-        trace, and its chunk-shape answer sizes the receiver's STFT
-        buffers up front so steady-state pushes reallocate nothing.
-        """
+        """Size the receiver's STFT buffer for in-place chunk reuse, so
+        steady-state pushes reallocate nothing."""
         chunk_size = int(getattr(self.source, "chunk_size", 0) or 0)
-        tasks = int(getattr(self.source, "n_chunks", 0) or 1)
-        decision = choose_executor(
-            max(tasks, 1),
-            jobs=1,  # ordered, stateful: one service lane by contract
-            bytes_per_task=chunk_size * 8,  # complex64 IQ
-            numpy_bound=True,
-            batchable=True,
-        )
-        self.stats.executor = decision.mode
         reserve = getattr(self.receiver, "reserve", None)
         if reserve is not None and chunk_size > 0:
             # One chunk plus the carried window tail fits in place.

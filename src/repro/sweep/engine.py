@@ -5,9 +5,12 @@ are warmed in chain order - every ``vrm`` group first, then ``emission``
 groups, then ``capture`` groups - each phase fanned out over the
 process pool.  A deeper warm therefore always finds its own prefix
 already published, so each shared stage is computed exactly once across
-the whole sweep.  The per-trial tails then fan out and hit their
-deepest warmed key; the shared capture travels to the workers as a
-cache key into the shared disk layer, never as a pickled array.
+the whole sweep.  The tails then fan out one task per *capture group*
+(the pending trials sharing a capture key): a task reads the warmed
+capture once and serves all its receivers' envelopes with one
+band-energy kernel call over the union of their frame positions.  The
+shared capture travels to the workers as a cache key into the shared
+disk layer, never as a pickled array.
 
 Correctness bar: a trial's record is bit-identical whether it runs here
 (any jobs count, cold or warm cache, resumed or not) or via a plain
@@ -19,7 +22,6 @@ physics.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import shutil
 import tempfile
@@ -30,14 +32,16 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..chain import render_bursts, render_emission
-from ..core.align import ChannelMetrics
+from ..chain import render_bursts, render_emission, replay_capture_hit
+from ..core.acquisition import acquire_many
+from ..core.align import ChannelMetrics, align_bits
+from ..core.decoder import BatchDecoder
+from ..covert.link import LinkResult, PreparedTrial
 from ..dsp.detection import histogram_modes
 from ..exec.context import execution_scope, get_execution_config
-from ..exec.executor import choose_executor
 from ..exec.pool import parallel_map, resolve_jobs
 from ..obs.metrics import tap_sweep
-from ..obs.trace import key_prefix, rng_digest, span, trace_event
+from ..obs.trace import bits_digest, key_prefix, rng_digest, span, trace_event
 from .plan import SweepPlan, TrialPlan, plan_sweep
 from .spec import SweepSpec, TrialSpec, build_link, trial_payload
 from .store import STORE_SCHEMA, ResultStore
@@ -79,26 +83,8 @@ def pooled_metrics(records: List[dict]) -> ChannelMetrics:
     return pooled
 
 
-def _bits_digest(bits: np.ndarray) -> str:
-    data = np.ascontiguousarray(np.asarray(bits), dtype=np.uint8)
-    return hashlib.sha256(data.tobytes()).hexdigest()[:16]
-
-
-def _execute_trial(tp: TrialPlan) -> dict:
-    """One full trial; module-level so it crosses the process boundary.
-
-    With a warmed cache the analog stages all hit, so this is just the
-    digital prepare plus the receiver tail.
-    """
-    trial = tp.trial
-    link = build_link(trial)
-    started = time.perf_counter()
-    prepared = link.prepare(trial_payload(trial))
-    with span(
-        "sweep.trial",
-        {"trial": key_prefix(tp.trial_id), "label": trial.label},
-    ):
-        result = link.run_prepared(prepared)
+def _record(tp: TrialPlan, result: LinkResult, rng, started: float) -> dict:
+    """One trial's store record (everything but ``elapsed_s`` is physics)."""
     decode = result.decode
     m = result.metrics
     threshold = (
@@ -112,8 +98,8 @@ def _execute_trial(tp: TrialPlan) -> dict:
     return {
         "schema": STORE_SCHEMA,
         "trial_id": tp.trial_id,
-        "label": trial.label,
-        "trial": dataclasses.asdict(trial),
+        "label": tp.trial.label,
+        "trial": dataclasses.asdict(tp.trial),
         "keys": {stage: key_prefix(key) for stage, key in tp.keys.stages()},
         "result": {
             "bit_errors": int(m.bit_errors),
@@ -127,14 +113,101 @@ def _execute_trial(tp: TrialPlan) -> dict:
             "tr_bps": float(result.transmission_rate_bps),
             "duration_s": float(result.duration_s),
             "n_bits": int(decode.bits.size),
-            "bits_sha": _bits_digest(decode.bits),
-            "tx_sha": _bits_digest(result.tx_bits),
-            "rng": rng_digest(prepared.rng),
+            "bits_sha": bits_digest(decode.bits),
+            "tx_sha": bits_digest(result.tx_bits),
+            "rng": rng_digest(rng),
             "threshold": threshold,
             "power_modes": [lo_mode, hi_mode],
         },
         "elapsed_s": round(time.perf_counter() - started, 6),
     }
+
+
+def _execute_group(members: List[TrialPlan]) -> List[dict]:
+    """The tails of one capture group; module-level so it crosses the
+    process boundary.
+
+    Members share one capture key, so they differ only in the receiver.
+    Each digital prefix is prepared once, and the capture is read once
+    through the chain cache: warmed for a shared group, computed inline
+    for a lone trial.  Every other member replays the cache hit its solo
+    run would have seen.  One :func:`acquire_many` call then serves all
+    members' envelopes over the union of their frame positions, and each
+    trial is decoded and aligned on its own.
+    """
+    started = time.perf_counter()
+    links = [build_link(tp.trial) for tp in members]
+    prepared: Dict[str, PreparedTrial] = {}
+    rngs = []
+    capture = None
+    for tp, link in zip(members, links):
+        if tp.digital_id not in prepared:
+            prepared[tp.digital_id] = link.prepare(trial_payload(tp.trial))
+        prep = prepared[tp.digital_id]
+        rng = np.random.default_rng(0)
+        if capture is None:
+            rng.bit_generator.state = prep.rng.bit_generator.state
+            capture = link.render_capture(prep.activity, rng)
+        else:
+            replay_capture_hit(
+                tp.keys.capture,
+                capture,
+                rngs[0].bit_generator.state,
+                prep.activity,
+                rng,
+            )
+        rngs.append(rng)
+    assert capture is not None
+    nominal = [prepared[tp.digital_id].nominal_bit_duration_s for tp in members]
+    envelopes = acquire_many(
+        capture,
+        [
+            (
+                link.vrm_frequency_hz,
+                link.decoder_config.acquisition_for(period, capture.sample_rate),
+            )
+            for link, period in zip(links, nominal)
+        ],
+    )
+    records = []
+    for tp, link, period, envelope, rng in zip(
+        members, links, nominal, envelopes, rngs
+    ):
+        prep = prepared[tp.digital_id]
+        with span(
+            "sweep.trial",
+            {"trial": key_prefix(tp.trial_id), "label": tp.trial.label},
+        ):
+            decode = BatchDecoder(
+                link.vrm_frequency_hz,
+                expected_bit_period_s=period,
+                config=link.decoder_config,
+            ).decode_envelope(envelope)
+            metrics = align_bits(prep.tx_bits, decode.bits)
+        result = LinkResult(
+            tx_bits=prep.tx_bits,
+            decode=decode,
+            metrics=metrics,
+            capture=capture,
+            activity=prep.activity,
+            duration_s=prep.activity.duration,
+            profile=link.profile,
+        )
+        records.append(_record(tp, result, rng, started))
+    return records
+
+
+def _capture_groups(
+    pending: List[TrialPlan], share: bool
+) -> List[List[TrialPlan]]:
+    """Pending trials grouped by capture key (plan order within and
+    across groups).  Without sharing, or without a capture key, every
+    trial is its own group."""
+    groups: Dict[str, List[TrialPlan]] = {}
+    for tp in pending:
+        key = tp.keys.capture if share and tp.keys.capture else tp.trial_id
+        groups.setdefault(key, []).append(tp)
+    return list(groups.values())
 
 
 def _warm_node(task: Tuple[TrialPlan, str, str, int]) -> dict:
@@ -194,7 +267,6 @@ def run_sweep(
     resume: bool = True,
     naive: bool = False,
     jobs: Optional[int] = None,
-    batch: str = "auto",
 ) -> SweepOutcome:
     """Plan and execute a sweep.
 
@@ -214,18 +286,8 @@ def run_sweep(
         baseline the speedup benchmarks compare against).
     jobs:
         Worker count; ``None`` reads the active execution config.
-    batch:
-        ``"auto"`` (default) routes pending trials through the
-        trial-major batched runner (:mod:`repro.batch`) whenever the
-        adaptive executor decides one process should do all the work
-        (single CPU, or fork cost dwarfing compute); multi-CPU hosts
-        keep the process-pool scalar path.  ``"on"`` forces the batched
-        runner, ``"off"`` forces the scalar path.  Records are
-        bit-identical either way.
     """
     started = time.perf_counter()
-    if batch not in ("auto", "on", "off"):
-        raise ValueError(f"batch must be 'auto', 'on' or 'off', got {batch!r}")
     if plan is None:
         plan = plan_sweep(spec)
     store = ResultStore(results_path)
@@ -236,73 +298,58 @@ def run_sweep(
         if tp.trial_id in existing
     }
     pending = [tp for tp in plan.trials if tp.trial_id not in resumed]
-    config = get_execution_config()
-    engine = not naive and config.cache_enabled
-    warm_groups = 0
-    use_batch = batch == "on"
-    if batch == "auto" and engine and pending:
-        decision = choose_executor(
-            len(pending), jobs=resolve_jobs(jobs), batchable=True
-        )
-        use_batch = decision.mode == "batched-serial"
-    if use_batch and any(tp.keys.capture is None for tp in pending):
-        # Emission-only trials have no capture node to batch.
-        use_batch = False
+    engine = not naive and get_execution_config().cache_enabled
+    groups = _capture_groups(pending, share=engine)
+    phases = []
+    if engine:
+        pending_ids = {tp.trial_id for tp in pending}
+        for stage_name in ("vrm", "emission", "capture"):
+            nodes = [
+                node
+                for node in plan.warm_nodes()
+                if node.stage == stage_name
+                and any(t in pending_ids for t in node.trial_ids)
+            ]
+            if nodes:
+                phases.append((stage_name, nodes))
+    warm_groups = sum(len(nodes) for _, nodes in phases)
+    widest = max([len(groups)] + [len(nodes) for _, nodes in phases])
     with ExitStack() as stack:
-        if naive:
+        if not engine:
             # Reference semantics: every trial owns its full chain.
             stack.enter_context(execution_scope(cache_enabled=False))
-            use_batch = False
-        elif use_batch:
-            # One process, trial-major: the batched runner warms and
-            # fans out internally (same events, same records).  Lazy
-            # import: repro.batch pulls in this package's siblings.
-            from ..batch.runner import run_trials_batched
-
-            new_records, warm_groups = run_trials_batched(plan, pending)
-        elif not engine:
-            stack.enter_context(execution_scope(cache_enabled=False))
-        else:
-            n_jobs = min(resolve_jobs(jobs), max(len(pending), 1))
-            if n_jobs > 1 and config.cache_dir is None:
-                # Workers cannot share a memory-only cache, and a shared
-                # capture must travel by key, not by pickled value - so
-                # multi-process sweeps get a scratch disk layer.
-                scratch = tempfile.mkdtemp(prefix="repro-sweep-cache-")
-                stack.callback(shutil.rmtree, scratch, ignore_errors=True)
-                stack.enter_context(execution_scope(cache_dir=scratch))
-            pending_ids = {tp.trial_id for tp in pending}
-            by_id = {tp.trial_id: tp for tp in plan.trials}
-            for stage_name in ("vrm", "emission", "capture"):
-                nodes = [
-                    node
-                    for node in plan.warm_nodes()
-                    if node.stage == stage_name
-                    and any(t in pending_ids for t in node.trial_ids)
-                ]
-                if not nodes:
-                    continue
-                warm_groups += len(nodes)
-                trace_event(
-                    "sweep.warm", stage=stage_name, groups=len(nodes)
-                )
-                parallel_map(
-                    _warm_node,
-                    [
-                        (
-                            by_id[node.representative],
-                            node.stage,
-                            node.key,
-                            len(node.children),
-                        )
-                        for node in nodes
-                    ],
-                    jobs=jobs,
-                )
-        if not use_batch:
-            new_records = parallel_map(_execute_trial, pending, jobs=jobs)
-    for record in new_records:
-        store.append(record)
+        elif min(resolve_jobs(jobs), widest) > 1 and (
+            get_execution_config().cache_dir is None
+        ):
+            # Workers cannot share a memory-only cache, and a shared
+            # capture must travel by key, not by pickled value - so
+            # multi-process sweeps get a scratch disk layer.
+            scratch = tempfile.mkdtemp(prefix="repro-sweep-cache-")
+            stack.callback(shutil.rmtree, scratch, ignore_errors=True)
+            stack.enter_context(execution_scope(cache_dir=scratch))
+        by_id = {tp.trial_id: tp for tp in plan.trials}
+        for stage_name, nodes in phases:
+            trace_event("sweep.warm", stage=stage_name, groups=len(nodes))
+            parallel_map(
+                _warm_node,
+                [
+                    (
+                        by_id[node.representative],
+                        node.stage,
+                        node.key,
+                        len(node.children),
+                    )
+                    for node in nodes
+                ],
+                jobs=jobs,
+            )
+        done = {
+            record["trial_id"]: record
+            for records in parallel_map(_execute_group, groups, jobs=jobs)
+            for record in records
+        }
+    for tp in pending:
+        store.append(done[tp.trial_id])
     elapsed = time.perf_counter() - started
     records = [
         resumed.get(tp.trial_id) or store.get(tp.trial_id)
@@ -317,7 +364,6 @@ def run_sweep(
         "stages_saved": float(plan.stages_saved),
         "sharing_factor": plan.sharing_factor,
         "warm_groups": float(warm_groups),
-        "batch": 1.0 if use_batch else 0.0,
         "elapsed_s": elapsed,
     }
     tap_sweep(stats)

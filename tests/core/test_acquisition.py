@@ -6,6 +6,7 @@ import pytest
 from repro.core.acquisition import (
     AcquisitionConfig,
     acquire,
+    acquire_many,
     harmonic_bins,
 )
 from repro.dsp.stft import stft
@@ -117,6 +118,60 @@ class TestAcquire:
         cap = ook_capture()
         with pytest.raises(ValueError):
             acquire(cap, -5e3)
+
+    def test_matches_full_stft_reference(self):
+        cap = ook_capture()
+        config = AcquisitionConfig(fft_size=256, hop=48, bin_halfwidth=4)
+        spec = stft(cap.samples, cap.sample_rate, fft_size=256, hop=48)
+        bins = harmonic_bins(spec, cap, 5e3, config)
+        env = acquire(cap, 5e3, config)
+        np.testing.assert_array_equal(env.samples, spec.band_energy(bins))
+        np.testing.assert_array_equal(env.times, spec.times)
+
+
+class TestDegenerateInput:
+    """Non-finite or too-short captures fail loudly, never as NaNs."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        cap = ook_capture()
+        samples = cap.samples.copy()
+        samples[len(samples) // 2] = bad
+        broken = IQCapture(samples, cap.sample_rate, cap.center_frequency)
+        with pytest.raises(ValueError, match="non-finite"):
+            acquire(broken, 5e3)
+        with pytest.raises(ValueError, match="non-finite"):
+            acquire_many(broken, [(5e3, AcquisitionConfig())])
+
+    def test_all_nan_capture_raises(self):
+        samples = np.full(4096, np.nan, dtype=np.complex64)
+        with pytest.raises(ValueError, match="non-finite"):
+            acquire(IQCapture(samples, 96e3, 7.5e3), 5e3)
+
+    def test_too_short_capture_raises(self):
+        cap = ook_capture(duration=0.005)  # 480 samples < one 1024 frame
+        with pytest.raises(ValueError, match="fft_size=1024"):
+            acquire(cap, 5e3)
+        with pytest.raises(ValueError, match="fft_size=1024"):
+            acquire_many(cap, [(5e3, AcquisitionConfig())])
+
+
+class TestAcquireMany:
+    def test_each_envelope_matches_lone_acquire(self):
+        cap = ook_capture()
+        configs = [
+            AcquisitionConfig(fft_size=256, hop=16),
+            AcquisitionConfig(fft_size=256, hop=24),
+            AcquisitionConfig(fft_size=256, hop=64),
+            AcquisitionConfig(fft_size=128, hop=32, window="rect"),
+            AcquisitionConfig(fft_size=512, hop=48, bin_halfwidth=5),
+        ]
+        envs = acquire_many(cap, [(5e3, c) for c in configs])
+        for config, env in zip(configs, envs):
+            lone = acquire(cap, 5e3, config)
+            np.testing.assert_array_equal(env.samples, lone.samples)
+            np.testing.assert_array_equal(env.times, lone.times)
+            assert env.frame_rate == lone.frame_rate
 
 
 class TestConfigValidation:

@@ -15,7 +15,7 @@ from repro.exec.timing import collect_timings, format_timings, stage
 @pytest.fixture(autouse=True)
 def multi_cpu(monkeypatch):
     # These tests exercise the real fork paths; pin the CPU probe so a
-    # single-CPU CI host doesn't trip the batched-serial degradation.
+    # single-CPU CI host doesn't trip the serial degradation.
     monkeypatch.setattr(pool_mod, "effective_cpus", lambda: 2)
 
 

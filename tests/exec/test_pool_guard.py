@@ -84,3 +84,9 @@ class TestPickleBoundGuard:
     def test_small_payloads_fork(self, monkeypatch):
         monkeypatch.setattr(pool_mod, "effective_cpus", lambda: 2)
         assert parallel_map(_square, [1, 2], jobs=2, bytes_hint=64) == [1, 4]
+
+
+class TestEffectiveCpus:
+    def test_returns_positive_int(self):
+        cpus = pool_mod.effective_cpus()
+        assert isinstance(cpus, int) and cpus >= 1

@@ -9,7 +9,7 @@ any tick chunking, and any FFT row-block layout.
 import numpy as np
 import pytest
 
-import repro.mux.dsp as dsp
+import repro.dsp.band as band
 from repro.mux.dsp import MuxStream, group_streams, tick_group
 
 from .conftest import make_capture, make_receiver, make_source
@@ -117,7 +117,7 @@ class TestBitIdentity:
             capture, _split(capture.samples, [1024])
         )
         monkeypatch.setattr(
-            dsp, "CHUNK_BYTES", 3 * 256 * 16
+            band, "CHUNK_BYTES", 3 * 256 * 16
         )  # 3 rows per block
         source = make_source(capture, 256)
         receiver = make_receiver(source)

@@ -5,7 +5,7 @@ Deliberately thin: the checks live in :mod:`repro.scenario.conformance`
 ``list_scenarios()`` with ``CONFORMANCE_CHECKS``.  Registering a new
 scenario adds its full conformance coverage with zero new test code.
 
-Each scenario's run set (reference + repeat + permuted + batch-on) is
+Each scenario's run set (reference + repeat + permuted) is
 built once per session and shared by all of its checks.
 """
 

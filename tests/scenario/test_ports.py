@@ -86,7 +86,7 @@ class TestSweepPorts:
         with execution_scope(
             jobs=1, cache_enabled=True, cache_dir=tmp_path
         ):
-            legacy = run_sweep(spec, jobs=1, batch="auto")
+            legacy = run_sweep(spec, jobs=1)
             outcome = run_registered("table2", seed=0)
         by_id = {r["trial_id"]: r for r in legacy.records}
         assert len(outcome.records) == len(legacy.records)

@@ -172,24 +172,11 @@ class TestValidation:
 
 
 class TestAdaptiveService:
-    def test_executor_decision_recorded_and_buffers_reserved(
-        self, link, link_result, bit_period
-    ):
-        from repro.obs.trace import collect_events
-
+    def test_buffers_reserved(self, link, link_result, bit_period):
         source = CaptureChunkSource(link_result.capture, 4096)
         receiver = _receiver(link, source, bit_period)
-        runner = StreamRunner(source, receiver)
-        with collect_events() as events:
-            result = runner.run()
-        # Chunk DSP is stateful and ordered: the only admissible mode.
-        assert result.stats.executor == "batched-serial"
-        assert result.stats.as_dict()["executor"] == "batched-serial"
-        # The decision is traced with its reasoning.
-        decisions = [e for e in events if e.get("event") == "batch.executor"]
-        assert len(decisions) == 1
-        assert decisions[0]["mode"] == "batched-serial"
-        # And the receiver's STFT buffer was sized for chunk reuse.
+        StreamRunner(source, receiver).run()
+        # The receiver's STFT buffer was sized for chunk reuse.
         assert receiver._band.sstft.buffer_capacity >= 2 * 4096
 
     def test_reserved_run_is_still_bit_exact(

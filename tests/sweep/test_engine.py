@@ -7,6 +7,7 @@ the cache disabled.  These tests assert full-record equality - bits
 digests, BER, RNG exit digests, thresholds - not approximate closeness.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.exec.cache import reset_chain_cache
 from repro.exec.context import execution_scope
 from repro.obs.trace import collect_events
 from repro.sweep.engine import pooled_metrics, run_sweep
+from repro.sweep.plan import plan_sweep
 from repro.sweep.presets import RECEIVER_GRID
 from repro.sweep.spec import SweepSpec
 
@@ -233,3 +235,55 @@ class TestPropertyBitIdentity:
             assert got == want
         assert resumed.resumed == len(receivers) - 1
         assert resumed.executed == 1
+
+
+def _acq(fft_size, hop):
+    return {"acquisition": {"fft_size": fft_size, "hop": hop}}
+
+
+#: Capture-group shapes for the shared band-energy tail: hop grids that
+#: nest (every 64-frame start is a 32- and a 16-frame start), hop grids
+#: that only partly overlap, and several FFT sizes in one group.
+RECEIVER_SETS = {
+    "nested": [_acq(256, 16), _acq(256, 32), _acq(256, 64)],
+    "non-nested": [_acq(256, 24), _acq(256, 32)],
+    "mixed-fft": [_acq(128, 16), _acq(256, 32), _acq(512, 48), _acq(256, 64)],
+}
+
+
+class TestCaptureGroupBitIdentity:
+    """Engine capture groups vs per-trial naive runs, record for record
+    (bits and RNG digests included), across group shapes - including a
+    trial the plan gives no capture key, which runs as its own group."""
+
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        bits=st.integers(min_value=24, max_value=32),
+        shape=st.sampled_from(sorted(RECEIVER_SETS)),
+        orphan=st.booleans(),
+    )
+    def test_group_shapes_bit_identical(self, seed, bits, shape, orphan):
+        spec = SweepSpec(
+            name=f"groups-{shape}",
+            base={"bits": bits, "seed": seed},
+            zips=[{"receiver": RECEIVER_SETS[shape]}],
+        )
+        plan = plan_sweep(spec)
+        if orphan:
+            tp = plan.trials[1]
+            keys = dataclasses.replace(tp.keys, capture=None)
+            plan.trials[1] = dataclasses.replace(tp, keys=keys)
+        reset_chain_cache()
+        naive = run_sweep(spec, plan=plan, naive=True)
+        with execution_scope(cache_enabled=True):
+            reset_chain_cache()
+            engine = run_sweep(spec, plan=plan)
+        reset_chain_cache()
+        assert [comparable(r) for r in engine.records] == [
+            comparable(r) for r in naive.records
+        ]
