@@ -32,7 +32,6 @@ class ToneInterferer:
     def render(
         self, n_samples: int, sample_rate: float, rng: np.random.Generator
     ) -> np.ndarray:
-        t = np.arange(n_samples) / sample_rate
         if self.drift_rel > 0:
             # Integrated random-walk frequency drift.
             steps = rng.normal(0.0, self.drift_rel, size=n_samples)

@@ -49,7 +49,7 @@ from .context import get_execution_config
 
 #: Bump when the chain's stage semantics change, so stale disk caches
 #: can never serve outputs computed by an older model.
-CHAIN_SCHEMA = "chain-v1"
+CHAIN_SCHEMA = "chain-v2"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ CACHE001   chain inputs reach fingerprint() (cross-module call-graph
            and refresh the manifest
 CONC001    cache/scratch/result-store writes use the locked helpers
 TRACE001   spans use span() with registered names
-FLOAT001   no exact float equality in dsp/ and vrm/
+FLOAT001   no exact float equality in dsp/, vrm/, sdr/ and em/
 ASYNC001   no blocking calls reachable from async code in repro/mux
 ASYNC002   awaitables are awaited, not dropped
 RES001     pooled buffers reach release/hand-off on every CFG path

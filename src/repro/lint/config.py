@@ -99,7 +99,12 @@ class LintConfig:
 
     # -- FLOAT001: float equality ------------------------------------------
     #: Path prefixes where ``==``/``!=`` on float expressions is flagged.
-    float_eq_scopes: Tuple[str, ...] = ("repro/dsp/", "repro/vrm/")
+    float_eq_scopes: Tuple[str, ...] = (
+        "repro/dsp/",
+        "repro/vrm/",
+        "repro/sdr/",
+        "repro/em/",
+    )
 
     # -- ASYNC001/ASYNC002: event-loop safety ------------------------------
     #: Path prefixes whose ``async def`` functions are analyzed.

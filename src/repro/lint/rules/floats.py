@@ -57,8 +57,8 @@ class FloatEqualityRule(Rule):
     code = "FLOAT001"
     name = "float-equality"
     description = (
-        "exact ==/!= on float expressions in dsp/ and vrm/ code is a "
-        "rounding-error flake waiting to happen"
+        "exact ==/!= on float expressions in dsp/, vrm/, sdr/ and em/ "
+        "code is a rounding-error flake waiting to happen"
     )
 
     def check_file(

@@ -1,7 +1,7 @@
 """RTL-SDR v3 receiver model.
 
 The paper's $25 receiver: 8-bit IQ samples at up to 2.4 MS/s with an
-imperfect crystal.  The model applies the front-end mixing/decimation,
+imperfect crystal.  The model applies the front-end downconversion,
 receiver thermal noise, an automatic gain stage, and 8-bit quantisation.
 Quantisation matters: at long range the signal occupies few codes, which
 contributes to the BER floor in Table III.
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import IQCapture
-from .frontend import decimate, mix_to_baseband
+from .frontend import downconvert
 
 
 @dataclass
@@ -67,7 +67,17 @@ class RtlSdrV3:
             of the device sample rate.
         center_frequency:
             Tuned RF frequency in Hz.
+
+        Raises
+        ------
+        ValueError
+            If the waveform is empty or holds a NaN or inf sample, or
+            the input rate is not an integer multiple of the device rate.
         """
+        if antenna_voltage.size == 0:
+            raise ValueError("antenna voltage is empty")
+        if not np.all(np.isfinite(antenna_voltage)):
+            raise ValueError("antenna voltage contains non-finite samples")
         rng = rng if rng is not None else np.random.default_rng(5)
         factor = input_rate / self.sample_rate
         if abs(factor - round(factor)) > 1e-6:
@@ -80,10 +90,9 @@ class RtlSdrV3:
             antenna_voltage.size
         )
         offset_hz = center_frequency * self.ppm_error * 1e-6
-        baseband = mix_to_baseband(
-            noisy, input_rate, center_frequency, oscillator_offset_hz=offset_hz
+        baseband = downconvert(
+            noisy, input_rate, center_frequency + offset_hz, factor
         )
-        baseband = decimate(baseband, factor)
         quantised = self._agc_and_quantise(baseband, rng)
         return IQCapture(
             samples=quantised.astype(np.complex64),

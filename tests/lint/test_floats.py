@@ -1,4 +1,4 @@
-"""FLOAT001 fixtures: float equality in dsp/ and vrm/ scopes."""
+"""FLOAT001 fixtures: float equality in dsp/, vrm/, sdr/ and em/ scopes."""
 
 from __future__ import annotations
 
@@ -29,6 +29,21 @@ class TestFloat001:
             }
         )
         assert codes(lint(select=["FLOAT001"])) == ["FLOAT001"]
+
+    def test_sdr_and_em_scopes_flagged(self, make_tree):
+        _, lint = make_tree(
+            {
+                "repro/sdr/mod.py": """
+                def check(lo):
+                    return lo == 0.0
+                """,
+                "repro/em/mod.py": """
+                def check(gain):
+                    return gain != 1.0
+                """,
+            }
+        )
+        assert codes(lint(select=["FLOAT001"])) == ["FLOAT001", "FLOAT001"]
 
     def test_float_call_and_binop_flagged(self, make_tree):
         _, lint = make_tree(

@@ -59,7 +59,7 @@ class TestRecordCompare:
         paths = record(tmp_path, scenarios=["chain-emission-tiny"])
         assert [p.name for p in paths] == ["chain-emission-tiny.json"]
         payload = json.loads(paths[0].read_text())
-        assert payload["chain_schema"] == "chain-v1"
+        assert payload["chain_schema"] == "chain-v2"
         report = compare(tmp_path, scenarios=["chain-emission-tiny"])
         assert report.ok
         assert "regress: OK" in report.render()

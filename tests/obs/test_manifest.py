@@ -20,7 +20,7 @@ class TestBuildManifest:
     def test_minimal_manifest_shape(self):
         manifest = build_manifest(experiment_id="x", seed=3, quick=True)
         assert manifest["schema"] == MANIFEST_SCHEMA
-        assert manifest["chain_schema"] == "chain-v1"
+        assert manifest["chain_schema"] == "chain-v2"
         assert manifest["experiment"] == "x"
         assert manifest["seed"] == 3
         assert len(manifest["config_fingerprint"]) == 16

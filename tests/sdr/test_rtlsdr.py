@@ -24,6 +24,20 @@ class TestCapture:
         with pytest.raises(ValueError, match="integer multiple"):
             sdr.capture(np.zeros(100), 5e5, 1e5)
 
+    @pytest.mark.parametrize(
+        "wave",
+        [
+            np.full(1000, np.nan),
+            np.zeros(0),
+            np.concatenate([np.zeros(999), [np.inf]]),
+        ],
+        ids=["all-nan", "empty", "one-inf"],
+    )
+    def test_rejects_degenerate_input(self, wave):
+        sdr = RtlSdrV3(sample_rate=2.4e5)
+        with pytest.raises(ValueError, match="antenna voltage"):
+            sdr.capture(wave, 9.6e5, 1.5e5, np.random.default_rng(0))
+
     def test_tone_recovered_at_expected_offset(self):
         sdr = RtlSdrV3(sample_rate=2.4e5, ppm_error=0.0, noise_floor=1e-6)
         wave = tone_input(1.7e5, 9.6e5)

@@ -6,7 +6,8 @@ one ``np.bincount`` pass; the original implementation used two
 same per-bin, in-order float additions, so the outputs must be
 *bit-identical* - this test keeps the slow reference around and asserts
 exact equality, including on trains engineered to pile many bursts into
-the same output sample.
+the same output sample.  The reference ends in the model's direct pulse
+convolve; a separate test pins that convolve against ``fftconvolve``.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from repro.vrm.emission import EmissionModel
 
 
 def add_at_reference(model: EmissionModel, bursts: BurstTrain, sample_rate: float):
-    """The pre-bincount synthesize, verbatim (ground truth)."""
+    """The pre-bincount synthesize, verbatim up to the pulse convolve
+    (ground truth for the deposit)."""
     n_samples = int(round(bursts.duration * sample_rate))
     wave = np.zeros(max(n_samples, 1))
     if bursts.count == 0:
@@ -39,7 +41,7 @@ def add_at_reference(model: EmissionModel, bursts: BurstTrain, sample_rate: floa
     np.add.at(wave, base[last], weights[last])
     kernel = model.pulse_kernel(sample_rate, bursts.switching_period)
     if kernel.size > 1:
-        wave = fftconvolve(wave, kernel)[: wave.size]
+        wave = np.convolve(wave, kernel)[: wave.size]
     return wave
 
 
@@ -92,3 +94,23 @@ class TestBincountEquivalence:
         got = model.synthesize(bursts, 1e6)
         want = add_at_reference(model, bursts, 1e6)
         assert np.array_equal(got, want)
+
+
+class ImpulsesOnly(EmissionModel):
+    """The model with its pulse convolve skipped: the bare deposit."""
+
+    def pulse_kernel(self, sample_rate, switching_period):
+        return np.ones(1)
+
+
+class TestPulseConvolve:
+    def test_direct_convolve_matches_fftconvolve(self):
+        model = EmissionModel()
+        sample_rate = 8e6
+        bursts = random_train(3)
+        got = model.synthesize(bursts, sample_rate)
+        impulses = ImpulsesOnly().synthesize(bursts, sample_rate)
+        kernel = model.pulse_kernel(sample_rate, bursts.switching_period)
+        assert kernel.size == 8
+        want = fftconvolve(impulses, kernel)[: impulses.size]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
